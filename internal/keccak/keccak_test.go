@@ -3,6 +3,7 @@ package keccak
 import (
 	"bytes"
 	"encoding/hex"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -108,15 +109,83 @@ func TestDistinctInputsDistinctDigests(t *testing.T) {
 	}
 }
 
+// refRotc holds the rho rotation offsets, indexed [x][y].
+var refRotc = [5][5]uint{
+	{0, 36, 3, 41, 18},
+	{1, 44, 10, 45, 2},
+	{62, 6, 43, 15, 61},
+	{28, 55, 25, 21, 56},
+	{27, 20, 39, 8, 14},
+}
+
+// refKeccakF1600 is Keccak-f[1600] written step for step from the reference
+// specification, on a state indexed a[x][y]. It is the oracle for the
+// unrolled permutation.
+func refKeccakF1600(a *[5][5]uint64) {
+	var c, d [5]uint64
+	var b [5][5]uint64
+	for round := 0; round < 24; round++ {
+		// theta
+		for x := 0; x < 5; x++ {
+			c[x] = a[x][0] ^ a[x][1] ^ a[x][2] ^ a[x][3] ^ a[x][4]
+		}
+		for x := 0; x < 5; x++ {
+			d[x] = c[(x+4)%5] ^ bits.RotateLeft64(c[(x+1)%5], 1)
+			for y := 0; y < 5; y++ {
+				a[x][y] ^= d[x]
+			}
+		}
+		// rho and pi
+		for x := 0; x < 5; x++ {
+			for y := 0; y < 5; y++ {
+				b[y][(2*x+3*y)%5] = bits.RotateLeft64(a[x][y], int(refRotc[x][y]))
+			}
+		}
+		// chi
+		for x := 0; x < 5; x++ {
+			for y := 0; y < 5; y++ {
+				a[x][y] = b[x][y] ^ (^b[(x+1)%5][y] & b[(x+2)%5][y])
+			}
+		}
+		// iota
+		a[0][0] ^= roundConstants[round]
+	}
+}
+
+func TestPermutationMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		var flat [25]uint64
+		var ref [5][5]uint64
+		for j := range flat {
+			flat[j] = rng.Uint64()
+			ref[j%5][j/5] = flat[j]
+		}
+		if i == 0 {
+			flat, ref = [25]uint64{}, [5][5]uint64{} // the all-zero state too
+		}
+		keccakF1600(&flat)
+		refKeccakF1600(&ref)
+		for j := range flat {
+			if flat[j] != ref[j%5][j/5] {
+				t.Fatalf("state %d: lane (%d,%d) = %#x, reference %#x", i, j%5, j/5, flat[j], ref[j%5][j/5])
+			}
+		}
+	}
+}
+
 func BenchmarkSum256_32(b *testing.B)  { benchSum(b, 32) }
 func BenchmarkSum256_256(b *testing.B) { benchSum(b, 256) }
 func BenchmarkSum256_4K(b *testing.B)  { benchSum(b, 4096) }
+
+// sink keeps benchmarked digests live so the calls cannot be optimised away.
+var sink [32]byte
 
 func benchSum(b *testing.B, n int) {
 	data := make([]byte, n)
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Sum256(data)
+		sink = Sum256(data)
 	}
 }
