@@ -109,7 +109,7 @@ func ExecuteDAG(snap state.Reader, block evm.BlockContext, txs []*types.Transact
 
 		local := state.NewOverlay(shared)
 		adapter := state.NewVMAdapter(local)
-		receipt, err := evm.ApplyTransaction(adapter, block, txs[j], j, nil)
+		receipt, err := evm.ApplyTransaction(adapter, block, txs[j], txs[j].Hash(), j, nil)
 		if err != nil {
 			errs[j] = err
 		} else {

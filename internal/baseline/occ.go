@@ -28,6 +28,11 @@ func ExecuteOCC(snap state.Reader, block evm.BlockContext, txs []*types.Transact
 		threads = 1
 	}
 	committedState := state.NewOverlay(snap)
+	// Hashed once here: a transaction may re-execute in several rounds.
+	hashes := make([]types.Hash, n)
+	for j, tx := range txs {
+		hashes[j] = tx.Hash()
+	}
 	results := make([]*occResult, n)
 	committed := make([]bool, n)
 	receipts := make([]*types.Receipt, n)
@@ -64,7 +69,7 @@ func ExecuteOCC(snap state.Reader, block evm.BlockContext, txs []*types.Transact
 				sem <- struct{}{}
 				defer func() { <-sem }()
 				rec := newSetRecorder(committedState)
-				receipt, err := evm.ApplyTransaction(rec, block, txs[j], j, nil)
+				receipt, err := evm.ApplyTransaction(rec, block, txs[j], hashes[j], j, nil)
 				if err != nil {
 					errs[bi] = err
 					return

@@ -140,7 +140,7 @@ func OracleSets(snap state.Reader, block evm.BlockContext, txs []*types.Transact
 	out := make([]*TxSets, len(txs))
 	for i, tx := range txs {
 		rec := newSetRecorder(acc)
-		receipt, err := evm.ApplyTransaction(rec, block, tx, i, nil)
+		receipt, err := evm.ApplyTransaction(rec, block, tx, tx.Hash(), i, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ func ExecuteSerial(snap state.Reader, block evm.BlockContext, txs []*types.Trans
 	adapter := state.NewVMAdapter(overlay)
 	receipts := make([]*types.Receipt, len(txs))
 	for i, tx := range txs {
-		r, err := evm.ApplyTransaction(adapter, block, tx, i, nil)
+		r, err := evm.ApplyTransaction(adapter, block, tx, tx.Hash(), i, nil)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: serial tx %d: %w", i, err)
 		}

@@ -98,6 +98,9 @@ type chaosClass struct {
 	// wantStalls marks recipes engineered to wedge the scheduler until the
 	// watchdog recovers it.
 	wantStalls bool
+	// wantPanics marks recipes whose armed worker panics must fire: every
+	// block in which the injector armed one must contain at least one.
+	wantPanics bool
 	// backend selects the chaos world's state backend: "" or "trie" is the
 	// reference trie DB, "flat" the in-memory flat backend, "disk" the
 	// disk-backed flat backend (whose KV layer the kv_* points can fail).
@@ -112,7 +115,8 @@ type chaosClass struct {
 func chaosClasses() []chaosClass {
 	return []chaosClass{
 		{name: "panic",
-			rates: map[fault.Point]float64{fault.WorkerPanic: 0.25}},
+			rates:      map[fault.Point]float64{fault.WorkerPanic: 0.25},
+			wantPanics: true},
 		{name: "delay",
 			rates: map[fault.Point]float64{fault.ExecDelay: 0.3, fault.DelayEarlyPublish: 0.5},
 			delay: 200 * time.Microsecond},
@@ -325,9 +329,14 @@ func runChaosClass(cfg ChaosConfig, cl chaosClass, classIdx int64, blocks int) (
 			injector = newInjector(b)
 			chaosEng.SetFaults(injector)
 		}
+		armed := injector.Fired(fault.WorkerPanic)
 		out, err := chaosEng.Execute(chain.ModeDMVCC, blockCtx, txs)
 		if err != nil {
 			return nil, fmt.Errorf("block %d dmvcc: %w", b, err)
+		}
+		if cl.wantPanics && injector.Fired(fault.WorkerPanic) > armed && out.Stats.Panics == 0 {
+			return nil, fmt.Errorf("block %d (%s): %d worker panics armed, none fired (stats %+v)",
+				b, cl.name, injector.Fired(fault.WorkerPanic)-armed, out.Stats)
 		}
 		root, retries, err := commitWithRetries(chaosEng, out)
 		if err != nil {

@@ -80,11 +80,12 @@ func Build(code []byte) *Graph {
 	}
 	sort.Slice(g.Order, func(i, j int) bool { return g.Order[i] < g.Order[j] })
 
-	allDests := make([]uint64, 0, len(dests))
-	for d := range dests {
-		allDests = append(allDests, d)
+	var allDests []uint64 // ascending: instrs are in pc order
+	for _, ins := range instrs {
+		if ins.Op == evm.JUMPDEST {
+			allDests = append(allDests, ins.PC)
+		}
 	}
-	sort.Slice(allDests, func(i, j int) bool { return allDests[i] < allDests[j] })
 
 	// Successor edges.
 	for _, start := range g.Order {
@@ -120,12 +121,12 @@ func Build(code []byte) *Graph {
 
 // jumpTargets resolves the jump at the end of b. The resolvable case is a
 // PUSH immediately before the JUMP/JUMPI.
-func jumpTargets(b *Block, dests map[uint64]bool, allDests []uint64) []uint64 {
+func jumpTargets(b *Block, dests evm.JumpDestSet, allDests []uint64) []uint64 {
 	if len(b.Instrs) >= 2 {
 		prev := b.Instrs[len(b.Instrs)-2]
 		if prev.Op.IsPush() {
 			target := u256.FromBytes(prev.Arg)
-			if target.IsUint64() && dests[target.Uint64()] {
+			if target.IsUint64() && dests.Has(target.Uint64()) {
 				return []uint64{target.Uint64()}
 			}
 			return nil // statically invalid jump: runtime error, no successors

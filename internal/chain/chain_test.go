@@ -76,6 +76,35 @@ func TestAllModesAgreeOnWorkload(t *testing.T) {
 	}
 }
 
+// TestReceiptsCarryTxHash pins the receipt's transaction identity under
+// every scheduler: schedulers hash each transaction once and hand the hash
+// to every execution of it, so receipts from re-executed transactions
+// (DMVCC incarnations, OCC rounds) must still carry tx.Hash().
+func TestReceiptsCarryTxHash(t *testing.T) {
+	cfg := smallConfig(5).HighContention()
+	source, err := workload.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockCtx := source.BlockContext()
+	txs := source.NextBlock()
+	for _, m := range chain.Modes() {
+		w, err := workload.BuildWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := chain.NewEngine(w.DB, w.Registry, 4).Execute(m, blockCtx, txs)
+		if err != nil {
+			t.Fatalf("mode %s: %v", m, err)
+		}
+		for i, r := range out.Receipts {
+			if want := txs[i].Hash(); r.TxHash != want || r.TxIndex != i {
+				t.Fatalf("mode %s tx %d: receipt (hash %s, index %d), want (%s, %d)", m, i, r.TxHash, r.TxIndex, want, i)
+			}
+		}
+	}
+}
+
 func TestDMVCCStatsPopulated(t *testing.T) {
 	cfg := smallConfig(3).HighContention()
 	w, err := workload.BuildWorld(cfg)

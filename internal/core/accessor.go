@@ -81,10 +81,10 @@ type accessor struct {
 	// would otherwise allocate a closure on every sequence call).
 	deadFn func() bool
 
-	// Registry memo: hook performs one contract-info lookup per instruction
-	// without it (an RWMutex + map hit that dominated the hot loop); frames
-	// run many consecutive instructions in one contract, so a one-entry
-	// cache absorbs nearly all of them.
+	// Registry memo for HookTable (once per frame) and the release-point
+	// gas bound: nested calls bounce between a few contracts, and a
+	// one-entry cache absorbs the repeat lookups of the top-level one
+	// without the registry's RWMutex.
 	infoAddr types.Address
 	info     *sag.ContractInfo
 	infoOK   bool
@@ -106,9 +106,12 @@ type accessor struct {
 	worker   int
 	inFinish bool
 
+	// hookPoints counts this incarnation's hook calls (Stats.HookPoints).
+	hookPoints int64
+
 	// Fault-injection arming, decided once per incarnation (all zero when
 	// no injector is attached — the production path).
-	panicAfter    int  // instruction countdown to an injected panic
+	panicAfter    int  // hook-point countdown to an injected panic
 	forceStale    bool // force-abort the next sequence read
 	suppressEarly bool // suppress release-point early publication
 }
@@ -126,6 +129,7 @@ const (
 var (
 	_ evm.State        = (*accessor)(nil)
 	_ evm.BalanceAdder = (*accessor)(nil)
+	_ evm.HookTabler   = (*accessor)(nil)
 )
 
 // newAccessor builds the state view of one incarnation on a pooled
@@ -186,23 +190,32 @@ func (a *accessor) reset() {
 	a.intrins = 0
 	a.worker = 0
 	a.inFinish = false
+	a.hookPoints = 0
 	a.panicAfter = 0
 	a.forceStale = false
 	a.suppressEarly = false
 }
 
 // armFaults draws this incarnation's fault decisions up front (one hash per
-// armed point), so the per-instruction hot path only tests plain fields.
+// armed point), so the hook only tests plain fields.
 func (a *accessor) armFaults(in *fault.Injector) {
 	blockN := int64(a.r.block.Number)
 	if ok, roll := in.Draw(fault.WorkerPanic, blockN, a.rt.idx, a.inc); ok {
-		// Panic mid-transaction: after a deterministic, roll-derived number
-		// of instructions (between VM steps, no scheduler locks held).
-		a.panicAfter = 1 + int((roll>>33)%24)
+		// Panic mid-transaction: at a deterministic, roll-derived hook point
+		// (between VM steps, no scheduler locks held).
+		a.panicAfter = 1 + int((roll>>33)%panicHookPoints)
 	}
 	a.forceStale = in.Fire(fault.SnapshotStale, blockN, a.rt.idx, a.inc)
 	a.suppressEarly = in.Fire(fault.DelayEarlyPublish, blockN, a.rt.idx, a.inc)
 }
+
+// panicHookPoints bounds the hook-point countdown of an injected panic. A
+// contract call that completes passes 23 to ~900 hook points on the
+// workload and chaos mixes (one reverting at its first check passes 2), so
+// a panic armed on a completing call always fires, anywhere from frame
+// entry to past its first state accesses and release points. Plain
+// transfers run no code and never fire.
+const panicHookPoints = 16
 
 // dead reports whether this incarnation has been aborted.
 func (a *accessor) dead() bool { return a.rt.curInc() != a.inc }
@@ -670,10 +683,23 @@ func (a *accessor) SetCode(addr types.Address, code []byte) error {
 
 // --- hook: abort checks, commutative arming, release points ----------------
 
-// hook runs before every instruction: it stops dead incarnations, arms the
-// commutative sites, and performs Algorithm 2's early-write visibility at
-// release points.
-func (a *accessor) hook(addr types.Address, depth int, pc uint64, op evm.Opcode, gasLeft uint64) error {
+// HookTable implements evm.HookTabler: the registered contract's hook-point
+// table, so the hook runs only where it has work (nil for unknown code,
+// which is hooked at every instruction with no flags set).
+func (a *accessor) HookTable(addr types.Address) []uint8 {
+	if info := a.lookupInfo(addr); info != nil {
+		return info.HookAt
+	}
+	return nil
+}
+
+// hook runs at every hook point (see HookTable): it stops dead
+// incarnations, tracks the top frame's gas offset (every state access is a
+// hook point, so the offset at each access is exact), arms the commutative
+// sites, and performs Algorithm 2's early-write visibility at release
+// points.
+func (a *accessor) hook(addr types.Address, depth int, pc uint64, op evm.Opcode, gasLeft uint64, flags uint8) error {
+	a.hookPoints++
 	if a.dead() {
 		return evm.ErrAborted
 	}
@@ -691,24 +717,17 @@ func (a *accessor) hook(addr types.Address, depth int, pc uint64, op evm.Opcode,
 		a.offset = BaseCost + a.topGas - gasLeft
 	}
 	if !a.r.opts.DisableCommutative {
-		switch op {
-		case evm.SLOAD:
-			if info := a.lookupInfo(addr); info != nil {
-				if _, ok := info.CommLoads[pc]; ok {
-					a.armDelta = true
-				}
-			}
-		case evm.SSTORE:
-			if info := a.lookupInfo(addr); info != nil && info.CommStores[pc] {
-				a.armStore = true
-			}
+		if flags&evm.HookCommLoad != 0 {
+			a.armDelta = true
+		}
+		if flags&evm.HookCommStore != 0 {
+			a.armStore = true
 		}
 	}
-	if depth != 1 || a.drained || a.r.opts.DisableEarlyWrite || a.suppressEarly {
+	if flags&evm.HookRelease == 0 || depth != 1 || a.drained || a.r.opts.DisableEarlyWrite || a.suppressEarly {
 		return nil
 	}
-	info := a.lookupInfo(addr)
-	if info == nil || !info.Released(pc, gasLeft) {
+	if info := a.lookupInfo(addr); info == nil || !info.Released(pc, gasLeft) {
 		return nil
 	}
 	a.earlyPublish()

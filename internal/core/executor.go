@@ -61,6 +61,10 @@ type Stats struct {
 	MaxIncarnation int64
 	// StallRecoveries counts watchdog forced-recovery rounds.
 	StallRecoveries int64
+	// HookPoints counts step-hook calls across all incarnations: the
+	// instructions the interpreter stopped at for the scheduler (see
+	// sag.ContractInfo.HookAt).
+	HookPoints int64
 	// Degraded marks a block whose parallel attempt tripped the circuit
 	// breaker and fell back to the serial baseline; DegradeReason says why.
 	Degraded      bool
@@ -81,6 +85,7 @@ func (s Stats) RecordMetrics(r *telemetry.Registry) {
 	r.Counter("core.dispatched_txs").Add(s.DispatchedTxs)
 	r.Counter("core.panics").Add(s.Panics)
 	r.Counter("core.stall_recoveries").Add(s.StallRecoveries)
+	r.Counter("core.hook_points").Add(s.HookPoints)
 	if s.Degraded {
 		r.Counter("core.degraded_blocks").Inc()
 	}
@@ -102,6 +107,7 @@ type statCounters struct {
 	panics          atomic.Int64
 	maxInc          atomic.Int64
 	stallRecoveries atomic.Int64
+	hookPoints      atomic.Int64
 }
 
 func (s *statCounters) addBlocked() { s.blocked.Add(1) }
@@ -131,6 +137,7 @@ func (s *statCounters) snapshot() Stats {
 		Panics:          s.panics.Load(),
 		MaxIncarnation:  s.maxInc.Load(),
 		StallRecoveries: s.stallRecoveries.Load(),
+		HookPoints:      s.hookPoints.Load(),
 	}
 }
 
@@ -233,6 +240,9 @@ type txRuntime struct {
 	idx  int
 	tx   *types.Transaction
 	csag *sag.CSAG
+
+	hash   types.Hash // tx.Hash(), computed by the first incarnation (under mu)
+	hashed bool
 
 	mu        sync.Mutex
 	inc       atomic.Int64
@@ -651,6 +661,11 @@ func (r *run) runIncarnation(rt *txRuntime, worker int) {
 	rt.mu.Lock()
 	inc := int(rt.inc.Load())
 	rt.started = true
+	if !rt.hashed {
+		// Once per transaction, on a worker: incarnations share the hash.
+		rt.hash, rt.hashed = rt.tx.Hash(), true
+	}
+	hash := rt.hash
 	if r.rec.Enabled() {
 		r.rec.Record(OpDispatch, rt.idx, inc, worker, -1, sag.ItemID{}, u256.Int{})
 	}
@@ -673,6 +688,7 @@ func (r *run) runIncarnation(rt *txRuntime, worker int) {
 			r.containPanic(rt, inc, acc, p)
 		}
 		if acc != nil {
+			r.stats.hookPoints.Add(acc.hookPoints)
 			r.putAccessor(acc)
 		}
 	}()
@@ -696,7 +712,7 @@ func (r *run) runIncarnation(rt *txRuntime, worker int) {
 		tr.Emit(telemetry.EvDispatch, rt.idx, inc, worker, sag.ItemID{}, -1)
 	}
 
-	receipt, err := evm.ApplyTransaction(acc, r.block, rt.tx, rt.idx, acc.hook)
+	receipt, err := evm.ApplyTransaction(acc, r.block, rt.tx, hash, rt.idx, acc.hook)
 	if err != nil {
 		if errors.Is(err, evm.ErrAborted) {
 			// Work thrown away with this incarnation: the partial gas consumed

@@ -412,9 +412,6 @@ func (s *sequence) scanForward(tx, writerInc int, predicted bool) []victim {
 	var victims []victim
 	for j := start; j < len(s.entries); j++ {
 		e := &s.entries[j]
-		if e.status == statusDropped {
-			continue
-		}
 		// Any completed read after the publish position observed an older
 		// version and is stale — whatever the entry's write kind. A predicted
 		// ω entry carries a completed read when the analysis missed the read
@@ -422,9 +419,15 @@ func (s *sequence) scanForward(tx, writerInc int, predicted bool) []victim {
 		// publishing (the versionWrite upgrade to θ hasn't happened yet); a ω̄
 		// entry carries one after degradeRead resolved the delta's true base.
 		// Skipping those on kind alone loses the invalidation and commits
-		// values computed from stale reads.
+		// values computed from stale reads. The same holds for an entry whose
+		// write was dropped: an aborted writer's next incarnation re-reads
+		// through its own dropped version before it republishes, and that
+		// read is stale all the same.
 		if e.readDone {
 			victims = append(victims, stamp(e))
+		}
+		if e.status == statusDropped {
+			continue // a dropped write shields no later reader
 		}
 		switch e.kind {
 		case kindWrite, kindReadWrite:

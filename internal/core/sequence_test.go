@@ -114,6 +114,34 @@ func TestSequenceLateWriteAbortsDeltaEntryWhoRead(t *testing.T) {
 	}
 }
 
+// TestSequenceLateWriteAbortsReaderOfDroppedEntry is the lost update the
+// multicore chaos soak hit: tx3's first incarnation published and was
+// aborted (its version dropped), its next incarnation re-read through the
+// dropped entry, and only then did an earlier writer publish. The dropped
+// write part must not hide the completed read part from the abort scan.
+func TestSequenceLateWriteAbortsReaderOfDroppedEntry(t *testing.T) {
+	s := newSequence(testItem())
+	s.addPredicted(1, kindWrite)
+	s.addPredicted(3, kindReadWrite)
+	s.versionWrite(1, 0, u256.NewUint64(6), false)
+	if val, res, _, _ := s.tryRead(3, 0, u256.Zero, never, nil); res == readBlocked || val.Uint64() != 6 {
+		t.Fatalf("tx3@inc0 read %d (res %d), want 6", val.Uint64(), res)
+	}
+	s.versionWrite(3, 0, u256.NewUint64(7), false)
+	// tx3@inc0 is aborted for an unrelated reason: its version is dropped.
+	if victims := s.dropVersion(3, 0); len(victims) != 0 {
+		t.Fatalf("drop victims = %v, want none", victims)
+	}
+	if val, res, _, _ := s.tryRead(3, 1, u256.Zero, never, nil); res == readBlocked || val.Uint64() != 6 {
+		t.Fatalf("tx3@inc1 read %d (res %d), want 6", val.Uint64(), res)
+	}
+	// tx1 republishes before tx3@inc1 writes: tx3@inc1 read a stale value.
+	victims := s.versionWrite(1, 1, u256.NewUint64(9), false)
+	if len(victims) != 1 || victims[0].tx != 3 || victims[0].inc != 1 {
+		t.Fatalf("victims = %v, want tx3@inc1", victims)
+	}
+}
+
 func TestSequenceScanStopsAtInterveningWriter(t *testing.T) {
 	s := newSequence(testItem())
 	// tx2 writes (done), tx3 read tx2's version, tx5 read it too.

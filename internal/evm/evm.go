@@ -35,11 +35,39 @@ type State interface {
 	RevertToSnapshot(rev int)
 }
 
-// StepHook observes every instruction before it executes, along with the
+// StepHook observes an instruction before it executes, along with the
 // address of the contract whose code is running. Returning a non-nil error
 // aborts the frame with that error; schedulers use this to stop doomed
 // executions promptly and to trigger release-point processing.
-type StepHook func(addr types.Address, depth int, pc uint64, op Opcode, gasLeft uint64) error
+//
+// Without a hook-point table (see HookTabler) the hook runs before every
+// instruction with flags 0. With one, it runs only at the instructions the
+// table flags, and flags carries that pc's table byte.
+type StepHook func(addr types.Address, depth int, pc uint64, op Opcode, gasLeft uint64, flags uint8) error
+
+// Hook-point flags: the bits of one hook-point table byte. A nonzero byte
+// makes its pc a hook point; the bits tell the hook why.
+const (
+	// HookState marks an instruction that reaches State inside the
+	// interpreter loop (SLOAD, SSTORE, BALANCE, SELFBALANCE, CALL), and
+	// pc 0 so every frame's entry is observed.
+	HookState uint8 = 1 << iota
+	// HookCommLoad marks the SLOAD of a compiler-reported blind increment.
+	HookCommLoad
+	// HookCommStore marks the SSTORE of a compiler-reported blind increment.
+	HookCommStore
+	// HookRelease marks a release point (Algorithm 2).
+	HookRelease
+)
+
+// HookTabler is an optional State extension that gates the StepHook: the
+// interpreter calls HookTable once per frame and then runs the hook only at
+// pcs whose table byte is nonzero. A table whose length differs from the
+// code's (or nil, for a contract the implementation does not know) falls
+// back to hooking every instruction.
+type HookTabler interface {
+	HookTable(addr types.Address) []uint8
+}
 
 // BalanceAdder is an optional State extension for blind balance credits.
 // When implemented, the VM routes value-transfer credits (recipient,
@@ -91,6 +119,8 @@ type EVM struct {
 	block BlockContext
 	tx    TxContext
 	hook  StepHook
+	// tables is state's HookTabler view, nil when it has none.
+	tables HookTabler
 
 	logs       []types.Log
 	returnData []byte
@@ -100,7 +130,7 @@ type EVM struct {
 // Option configures an EVM.
 type Option func(*EVM)
 
-// WithStepHook installs a per-instruction hook.
+// WithStepHook installs a step hook.
 func WithStepHook(h StepHook) Option {
 	return func(e *EVM) { e.hook = h }
 }
@@ -111,6 +141,7 @@ func New(st State, block BlockContext, tx TxContext, opts ...Option) *EVM {
 	for _, o := range opts {
 		o(e)
 	}
+	e.tables, _ = st.(HookTabler)
 	return e
 }
 
@@ -152,6 +183,11 @@ func (e *EVM) Call(caller, to types.Address, input []byte, gas uint64, value *u2
 		gas:       gas,
 		stack:     newStack(),
 		jumpdests: JumpDests(code),
+	}
+	if e.hook != nil && e.tables != nil {
+		if t := e.tables.HookTable(to); len(t) == len(code) {
+			f.hookAt = t
+		}
 	}
 	ret, err = e.run(f)
 	e.depth--
@@ -198,13 +234,18 @@ type ExecutionResult struct {
 // out-of-gas) produce a receipt; an ErrAborted from the scheduler (or any
 // state error) is returned as an error and produces no receipt.
 //
+// txHash is copied into the receipt as given: callers hash each transaction
+// once (tx.Hash() is an RLP encoding plus keccak) however many times they
+// execute it, and a caller that keeps only the status and gas of the
+// receipt may pass the zero hash.
+//
 // Contract creation is simplified: the transaction payload is installed
 // directly as the runtime code of the derived contract address (the minisol
 // toolchain emits runtime code; there is no constructor phase).
-func ApplyTransaction(st State, block BlockContext, tx *types.Transaction, txIndex int, hook StepHook) (*types.Receipt, error) {
+func ApplyTransaction(st State, block BlockContext, tx *types.Transaction, txHash types.Hash, txIndex int, hook StepHook) (*types.Receipt, error) {
 	e := New(st, block, TxContext{Origin: tx.From, GasPrice: tx.GasPrice}, WithStepHook(hook))
 
-	receipt := &types.Receipt{TxHash: tx.Hash(), TxIndex: txIndex}
+	receipt := &types.Receipt{TxHash: txHash, TxIndex: txIndex}
 
 	intrinsic := IntrinsicGas(tx.Data)
 	if tx.Gas < intrinsic {

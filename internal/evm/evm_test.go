@@ -463,7 +463,7 @@ func TestStepHookAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := 0
-	hook := func(addr types.Address, depth int, pc uint64, op evm.Opcode, gas uint64) error {
+	hook := func(addr types.Address, depth int, pc uint64, op evm.Opcode, gas uint64, flags uint8) error {
 		steps++
 		if steps == 3 {
 			return evm.ErrAborted
@@ -490,7 +490,7 @@ func TestApplyTransactionTransfer(t *testing.T) {
 		Value: u256.NewUint64(1234),
 		Gas:   21_000,
 	}
-	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, 0, nil)
+	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, tx.Hash(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestApplyTransactionFees(t *testing.T) {
 		Gas:      30_000,
 		GasPrice: u256.NewUint64(2),
 	}
-	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, 0, nil)
+	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, tx.Hash(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestApplyTransactionRevertReceipt(t *testing.T) {
 		Gas:  100_000,
 		Data: []byte{0x01}, // make it a contract call
 	}
-	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, 0, nil)
+	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, tx.Hash(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestApplyTransactionCreate(t *testing.T) {
 		Gas:    200_000,
 		Data:   runtime,
 	}
-	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, 0, nil)
+	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, tx.Hash(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +603,87 @@ func TestJumpDestsSkipsPushData(t *testing.T) {
 	// PUSH2 0x5b5b (fake JUMPDEST bytes inside immediate), then real JUMPDEST
 	code := []byte{byte(evm.PUSH1) + 1, 0x5b, 0x5b, byte(evm.JUMPDEST)}
 	dests := evm.JumpDests(code)
-	if len(dests) != 1 || !dests[3] {
-		t.Errorf("dests = %v", dests)
+	for pc := uint64(0); pc < 70; pc++ {
+		if got, want := dests.Has(pc), pc == 3; got != want {
+			t.Errorf("Has(%d) = %v, want %v", pc, got, want)
+		}
+	}
+}
+
+// TestJumpIntoPushDataFails drives the bitvector through the interpreter:
+// a 0x5b byte inside PUSH data is not a jump destination, the real
+// JUMPDEST after it is.
+func TestJumpIntoPushDataFails(t *testing.T) {
+	for _, tc := range []struct {
+		dest byte
+		want error
+	}{{4, evm.ErrBadJump}, {6, nil}} {
+		// 0: PUSH1 dest, 2: JUMP, 3: PUSH2 0x5b5b, 6: JUMPDEST, 7: STOP
+		code := []byte{byte(evm.PUSH1), tc.dest, byte(evm.JUMP), byte(evm.PUSH1) + 1, 0x5b, 0x5b, byte(evm.JUMPDEST), byte(evm.STOP)}
+		if _, _, err := runCode(t, code, nil, 100_000); !errors.Is(err, tc.want) {
+			t.Errorf("jump to %d: err = %v, want %v", tc.dest, err, tc.want)
+		}
+	}
+}
+
+// tabledState is a VM state with a hook-point table for every contract.
+type tabledState struct {
+	*state.VMAdapter
+	table []uint8
+}
+
+func (s tabledState) HookTable(types.Address) []uint8 { return s.table }
+
+// TestHookTableGatesStepHook checks the interpreter runs the step hook only
+// at flagged pcs, passing each pc's flag byte, and falls back to every
+// instruction (flags 0) when the table does not match the code.
+func TestHookTableGatesStepHook(t *testing.T) {
+	// 0: PUSH1 7, 2: PUSH1 0, 4: SSTORE, 5: PUSH1 0, 7: SLOAD, 8: POP, 9: STOP
+	code := asm.New().Push(7).Push(0).Op(evm.SSTORE).Push(0).Op(evm.SLOAD, evm.POP, evm.STOP).MustBytes()
+	table := make([]uint8, len(code))
+	table[0] = evm.HookState
+	table[4] = evm.HookState | evm.HookCommStore
+	table[7] = evm.HookState | evm.HookRelease
+	type step struct {
+		pc    uint64
+		flags uint8
+	}
+	run := func(table []uint8) []step {
+		_, adapter := newEnv(t)
+		if err := adapter.SetCode(contract, code); err != nil {
+			t.Fatal(err)
+		}
+		var steps []step
+		hook := func(addr types.Address, depth int, pc uint64, op evm.Opcode, gas uint64, flags uint8) error {
+			steps = append(steps, step{pc, flags})
+			return nil
+		}
+		e := evm.New(tabledState{adapter, table}, testBlock(), evm.TxContext{}, evm.WithStepHook(hook))
+		var zero u256.Int
+		if _, _, err := e.Call(sender, contract, nil, 100_000, &zero); err != nil {
+			t.Fatal(err)
+		}
+		return steps
+	}
+	got := run(table)
+	want := []step{{0, table[0]}, {4, table[4]}, {7, table[7]}}
+	if len(got) != len(want) {
+		t.Fatalf("hooked %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("hook %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	for _, bad := range [][]uint8{nil, table[:len(table)-1]} {
+		dense := run(bad)
+		if len(dense) != 7 {
+			t.Errorf("table of len %d: hooked %d instructions, want all 7", len(bad), len(dense))
+		}
+		for _, s := range dense {
+			if s.flags != 0 {
+				t.Errorf("table of len %d: pc %d got flags %#x, want 0", len(bad), s.pc, s.flags)
+			}
+		}
 	}
 }

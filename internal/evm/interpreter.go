@@ -19,7 +19,10 @@ type frame struct {
 	pc        uint64
 	stack     *stack
 	mem       memory
-	jumpdests map[uint64]bool
+	jumpdests JumpDestSet
+	// hookAt is the contract's hook-point table (one flag byte per pc), or
+	// nil to run the step hook before every instruction.
+	hookAt []uint8
 }
 
 // useGas deducts amount from the frame's gas, reporting false on exhaustion.
@@ -74,8 +77,14 @@ func (e *EVM) run(f *frame) ([]byte, error) {
 		}
 		op := Opcode(f.code[f.pc])
 		if e.hook != nil {
-			if err := e.hook(f.addr, e.depth, f.pc, op, f.gas); err != nil {
-				return nil, err
+			var flags uint8
+			if f.hookAt != nil {
+				flags = f.hookAt[f.pc]
+			}
+			if flags != 0 || f.hookAt == nil {
+				if err := e.hook(f.addr, e.depth, f.pc, op, f.gas, flags); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if !op.Valid() {
@@ -91,13 +100,13 @@ func (e *EVM) run(f *frame) ([]byte, error) {
 		case op.IsPush():
 			n := op.PushBytes()
 			end := f.pc + 1 + uint64(n)
-			var chunk []byte
+			var v u256.Int
 			if end <= uint64(len(f.code)) {
-				chunk = f.code[f.pc+1 : end]
-			} else if f.pc+1 < uint64(len(f.code)) {
-				chunk = f.code[f.pc+1:]
+				v = u256.FromBytes(f.code[f.pc+1 : end])
+			} else {
+				// Immediate truncated by the end of code: zero-extended.
+				v = u256.FromBytes(padRight(f.code[f.pc+1:], n))
 			}
-			v := u256.FromBytes(padRight(chunk, n))
 			if err := f.stack.push(&v); err != nil {
 				return nil, err
 			}
@@ -510,7 +519,7 @@ func (e *EVM) binOp(f *frame, op Opcode) error {
 
 // jumpTo validates and performs a jump.
 func (f *frame) jumpTo(dest *u256.Int) error {
-	if !dest.IsUint64() || !f.jumpdests[dest.Uint64()] {
+	if !dest.IsUint64() || !f.jumpdests.Has(dest.Uint64()) {
 		return ErrBadJump
 	}
 	f.pc = dest.Uint64()

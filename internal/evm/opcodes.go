@@ -117,6 +117,18 @@ func (op Opcode) IsSwap() bool { return op >= SWAP1 && op <= SWAP16 }
 // IsLog reports whether op is LOG0..LOG4.
 func (op Opcode) IsLog() bool { return op >= LOG0 && op <= LOG4 }
 
+// TouchesState reports whether the interpreter calls State while executing
+// op: every such instruction is a hook point (HookState), which keeps a
+// hook's view of the gas consumed exact at every state access.
+func (op Opcode) TouchesState() bool {
+	switch op {
+	case SLOAD, SSTORE, BALANCE, SELFBALANCE, CALL:
+		return true
+	default:
+		return false
+	}
+}
+
 // Terminates reports whether op ends the current execution frame.
 func (op Opcode) Terminates() bool {
 	switch op {
@@ -192,14 +204,24 @@ var validOps = func() (t [256]bool) {
 // Valid reports whether op is implemented by this VM.
 func (op Opcode) Valid() bool { return validOps[op] }
 
-// JumpDests scans code and returns the set of valid JUMPDEST positions,
-// skipping PUSH immediates.
-func JumpDests(code []byte) map[uint64]bool {
-	dests := make(map[uint64]bool)
+// JumpDestSet is a bitvector over code positions: bit pc is set iff pc is
+// a valid JUMPDEST.
+type JumpDestSet []uint64
+
+// Has reports whether pc is a valid jump destination.
+func (s JumpDestSet) Has(pc uint64) bool {
+	w := pc / 64
+	return w < uint64(len(s)) && s[w]&(1<<(pc%64)) != 0
+}
+
+// JumpDests scans code and returns its valid JUMPDEST positions, skipping
+// PUSH immediates.
+func JumpDests(code []byte) JumpDestSet {
+	dests := make(JumpDestSet, (len(code)+63)/64)
 	for pc := 0; pc < len(code); pc++ {
 		op := Opcode(code[pc])
 		if op == JUMPDEST {
-			dests[uint64(pc)] = true
+			dests[pc/64] |= 1 << (pc % 64)
 		}
 		pc += op.PushBytes()
 	}

@@ -181,7 +181,7 @@ func TestApplyTransactionUnderpriced(t *testing.T) {
 		Gas:      100, // below intrinsic
 		GasPrice: u256.NewUint64(1),
 	}
-	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, 0, nil)
+	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, tx.Hash(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestApplyTransactionCannotFund(t *testing.T) {
 		Value: u256.NewUint64(2_000_000_000), // more than the balance
 		Gas:   21_000,
 	}
-	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, 0, nil)
+	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, tx.Hash(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestApplyTransactionInvalidOpcodeConsumesGas(t *testing.T) {
 		Gas:  60_000,
 		Data: []byte{0x01},
 	}
-	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, 0, nil)
+	rcpt, err := evm.ApplyTransaction(st, testBlock(), tx, tx.Hash(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,8 @@ type Point uint8
 
 const (
 	// WorkerPanic panics the executing goroutine mid-transaction (after a
-	// deterministic number of VM instructions), exercising the worker pool's
-	// panic containment.
+	// deterministic number of interpreter hook points), exercising the
+	// worker pool's panic containment.
 	WorkerPanic Point = iota
 	// ExecDelay stalls an incarnation for the configured Delay before it
 	// starts executing (interruptible by abort), exercising the stall
@@ -287,7 +287,7 @@ func (in *Injector) roll(p Point, block int64, tx int, aux uint64) uint64 {
 
 // Draw decides whether point p fires for the given key and returns the raw
 // roll (for call sites that derive secondary parameters, e.g. the
-// instruction countdown of an injected panic).
+// hook-point countdown of an injected panic).
 func (in *Injector) Draw(p Point, block int64, tx, aux int) (bool, uint64) {
 	if in == nil {
 		return false, 0

@@ -30,7 +30,8 @@ func (a *Analyzer) Registry() *Registry { return a.reg }
 // Analyze produces the C-SAG of tx at block position idx against snapshot.
 func (a *Analyzer) Analyze(tx *types.Transaction, idx int, snapshot state.Reader, block evm.BlockContext) (*CSAG, error) {
 	rec := newRecorder(a.reg, snapshot)
-	receipt, err := evm.ApplyTransaction(rec, block, tx, idx, rec.hook)
+	// The C-SAG keeps only the receipt's status and gas: no tx hash needed.
+	receipt, err := evm.ApplyTransaction(rec, block, tx, types.Hash{}, idx, rec.hook)
 	if err != nil {
 		return nil, fmt.Errorf("sag: analysis pre-run: %w", err)
 	}
@@ -96,6 +97,7 @@ type recSnap struct {
 
 var _ evm.State = (*recorder)(nil)
 var _ evm.BalanceAdder = (*recorder)(nil)
+var _ evm.HookTabler = (*recorder)(nil)
 
 func newRecorder(reg *Registry, snap state.Reader) *recorder {
 	return &recorder{
@@ -109,19 +111,23 @@ func newRecorder(reg *Registry, snap state.Reader) *recorder {
 	}
 }
 
+// HookTable implements evm.HookTabler: the registered contract's table, so
+// the hook runs only at hook points (nil for unknown code: every
+// instruction, none of them a commutative site).
+func (r *recorder) HookTable(addr types.Address) []uint8 {
+	if info := r.reg.Lookup(addr); info != nil {
+		return info.HookAt
+	}
+	return nil
+}
+
 // hook arms delta mode when execution reaches a commutative site.
-func (r *recorder) hook(addr types.Address, depth int, pc uint64, op evm.Opcode, gas uint64) error {
-	switch op {
-	case evm.SLOAD:
-		if info := r.reg.Lookup(addr); info != nil {
-			if _, ok := info.CommLoads[pc]; ok {
-				r.armDelta = true
-			}
-		}
-	case evm.SSTORE:
-		if info := r.reg.Lookup(addr); info != nil && info.CommStores[pc] {
-			r.armStore = true
-		}
+func (r *recorder) hook(addr types.Address, depth int, pc uint64, op evm.Opcode, gas uint64, flags uint8) error {
+	if flags&evm.HookCommLoad != 0 {
+		r.armDelta = true
+	}
+	if flags&evm.HookCommStore != 0 {
+		r.armStore = true
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"dmvcc/internal/cfg"
+	"dmvcc/internal/evm"
 	"dmvcc/internal/minisol"
 	"dmvcc/internal/types"
 )
@@ -26,6 +27,11 @@ type ContractInfo struct {
 	// (indexed by pc), precomputed so the interpreter hook is O(1).
 	ReleasedAt []bool
 	GasBoundAt []uint64
+
+	// HookAt is the hook-point table the interpreter gates the step hook
+	// with (evm.HookTabler): one evm.Hook* flag byte per pc, nonzero only
+	// at the instructions a scheduler or the analyzer must observe.
+	HookAt []uint8
 }
 
 // Released reports whether pc is a release point of this contract with the
@@ -81,9 +87,42 @@ func (r *Registry) Register(addr types.Address, code []byte, comm []minisol.Comm
 		info.ReleasedAt[pc] = info.Analysis.Released(uint64(pc))
 		info.GasBoundAt[pc] = info.Analysis.GasBound(uint64(pc))
 	}
+	info.HookAt = hookTable(info)
 	r.byHash[h] = info
 	r.byAddr[addr] = info
 	return info
+}
+
+// hookTable builds info's hook-point table. Flags are set only at
+// instruction boundaries — an opcode-valued byte inside PUSH data is never
+// executed — and cover every state access, every commutative site, every
+// release point (the Algorithm 2 gas check is not monotone in pc, so none
+// may be skipped) and pc 0, where a frame's starting gas is observed.
+func hookTable(info *ContractInfo) []uint8 {
+	code := info.Code
+	t := make([]uint8, len(code))
+	for pc := 0; pc < len(code); pc++ {
+		op := evm.Opcode(code[pc])
+		var f uint8
+		if op.TouchesState() {
+			f = evm.HookState
+		}
+		if _, ok := info.CommLoads[uint64(pc)]; ok && op == evm.SLOAD {
+			f |= evm.HookCommLoad
+		}
+		if info.CommStores[uint64(pc)] && op == evm.SSTORE {
+			f |= evm.HookCommStore
+		}
+		if info.ReleasedAt[pc] {
+			f |= evm.HookRelease
+		}
+		t[pc] = f
+		pc += op.PushBytes()
+	}
+	if len(t) > 0 {
+		t[0] |= evm.HookState
+	}
+	return t
 }
 
 // RegisterCompiled registers a compiled minisol contract at addr.

@@ -42,8 +42,24 @@ func NewUint64(v uint64) Int {
 // FromBytes interprets b as a big-endian unsigned integer. Inputs longer
 // than 32 bytes keep only the low-order 32 bytes, matching EVM truncation.
 func FromBytes(b []byte) Int {
-	if len(b) > 32 {
-		b = b[len(b)-32:]
+	switch n := len(b); {
+	case n == 32:
+		// Full words (memory loads, hashes, SLOAD keys): four loads.
+		return Int{
+			binary.BigEndian.Uint64(b[24:32]),
+			binary.BigEndian.Uint64(b[16:24]),
+			binary.BigEndian.Uint64(b[8:16]),
+			binary.BigEndian.Uint64(b[0:8]),
+		}
+	case n <= 8:
+		// Small immediates (PUSH1..PUSH8): one limb.
+		var limb uint64
+		for _, c := range b {
+			limb = limb<<8 | uint64(c)
+		}
+		return Int{limb, 0, 0, 0}
+	case n > 32:
+		return FromBytes(b[n-32:])
 	}
 	var z Int
 	// Fill limbs from the tail of b.

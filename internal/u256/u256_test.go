@@ -55,6 +55,27 @@ func TestRoundTripBytes(t *testing.T) {
 	}
 }
 
+// TestFromBytesAgainstBig checks every input length the fast paths split
+// on (empty, one limb, partial, full word, over-long) against math/big,
+// whose SetBytes result truncated to 256 bits is the EVM word semantics.
+func TestFromBytesAgainstBig(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 200; trial++ {
+			b := make([]byte, n)
+			r.Read(b)
+			if trial%4 == 0 && n > 0 {
+				b[0] = 0 // leading zero bytes must not shift the value
+			}
+			got := FromBytes(b)
+			want := mod256(new(big.Int).SetBytes(b))
+			if got.ToBig().Cmp(want) != 0 {
+				t.Fatalf("FromBytes(%x) = %s, want %s", b, got.Hex(), want.Text(16))
+			}
+		}
+	}
+}
+
 func TestRoundTripHex(t *testing.T) {
 	f := func(x Int) bool {
 		y, err := FromHex(x.Hex())
