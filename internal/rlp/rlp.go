@@ -82,6 +82,38 @@ func EncodeList(items ...Item) []byte {
 	return Encode(List(items...))
 }
 
+// AppendString appends the encoding of the byte-string s to dst.
+func AppendString(dst, s []byte) []byte { return appendString(dst, s) }
+
+// StringSize returns the encoded size of the byte-string s.
+func StringSize(s []byte) int {
+	if len(s) == 1 && s[0] < 0x80 {
+		return 1
+	}
+	return lengthSize(len(s)) + len(s)
+}
+
+// AppendListHeader appends the header of a list whose encoded children
+// take payload bytes; the caller appends those children.
+func AppendListHeader(dst []byte, payload int) []byte {
+	return appendLength(dst, 0xc0, payload)
+}
+
+// ListSize returns the encoded size of a list whose encoded children take
+// payload bytes.
+func ListSize(payload int) int { return lengthSize(payload) + payload }
+
+// lengthSize is the size of the header appendLength writes for n.
+func lengthSize(n int) int {
+	k := 1
+	if n > 55 {
+		for ; n > 0; n >>= 8 {
+			k++
+		}
+	}
+	return k
+}
+
 func appendItem(dst []byte, it Item) []byte {
 	if !it.IsList {
 		return appendString(dst, it.Str)

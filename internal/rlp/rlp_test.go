@@ -205,3 +205,32 @@ func BenchmarkDecodeTxLike(b *testing.B) {
 		}
 	}
 }
+
+// TestStreamingHelpersMatchEncode checks the size and append helpers the
+// trie encoder builds nodes with against Encode, across the short/long
+// header boundaries.
+func TestStreamingHelpersMatchEncode(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 31, 32, 55, 56, 255, 256, 1024, 65535, 65536} {
+		s := bytes.Repeat([]byte{0x81}, n)
+		want := Encode(String(s))
+		if got := AppendString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("AppendString(%d bytes) = %x, want %x", n, got, want)
+		}
+		if got := StringSize(s); got != len(want) {
+			t.Fatalf("StringSize(%d bytes) = %d, want %d", n, got, len(want))
+		}
+		list := Encode(List(String(s)))
+		hdr := AppendListHeader(nil, len(want))
+		if got := append(hdr, want...); !bytes.Equal(got, list) {
+			t.Fatalf("AppendListHeader(%d) + child = %x, want %x", len(want), got, list)
+		}
+		if got := ListSize(len(want)); got != len(list) {
+			t.Fatalf("ListSize(%d) = %d, want %d", len(want), got, len(list))
+		}
+	}
+	for _, b := range []byte{0x00, 0x7f, 0x80, 0xff} {
+		if got, want := StringSize([]byte{b}), len(Encode(String([]byte{b}))); got != want {
+			t.Fatalf("StringSize([%#x]) = %d, want %d", b, got, want)
+		}
+	}
+}

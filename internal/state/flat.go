@@ -101,7 +101,7 @@ var (
 
 // FlatOpts configures a FlatBackend.
 type FlatOpts struct {
-	// Shards is the account-trie fan-out: 1 (single lazy trie) or
+	// Shards is the account-trie fan-out: 1 (single trie) or
 	// trie.ShardCount (parallel shard hashing). 0 defaults to
 	// trie.ShardCount.
 	Shards int
@@ -113,6 +113,12 @@ type FlatOpts struct {
 
 // NewFlat returns a FlatBackend at the empty root.
 func NewFlat(opts FlatOpts) (*FlatBackend, error) {
+	return newFlat(opts, trie.NewMemStore())
+}
+
+// newFlat is NewFlat with the trie-node store of an in-memory backend
+// supplied by the caller (unused when opts.Dir is set).
+func newFlat(opts FlatOpts, memNodes trie.Store) (*FlatBackend, error) {
 	shards := opts.Shards
 	if shards == 0 {
 		shards = trie.ShardCount
@@ -129,7 +135,7 @@ func NewFlat(opts FlatOpts) (*FlatBackend, error) {
 	}
 	if opts.Dir == "" {
 		fb.fs = newMemFlatStore()
-		fb.nodes = trie.NewMemStore()
+		fb.nodes = memNodes
 	} else {
 		dfs, dns, flatRec, nodesRec, err := openDiskStores(opts.Dir)
 		if err != nil {
@@ -685,7 +691,7 @@ func (fb *FlatBackend) committerLoop() {
 }
 
 // runTrieJob builds the block's authenticated commitment: storage tries in
-// parallel, then the account trie (sharded or lazy-plain), then publishes
+// parallel, then the account trie (sharded or plain), then publishes
 // the root. Only the committer goroutine calls it, so the tries need no
 // locking; flat-store access still goes through fb.mu.
 func (fb *FlatBackend) runTrieJob(job *trieJob) CommitResult {
@@ -830,7 +836,7 @@ func (fb *FlatBackend) runTrieJob(job *trieJob) CommitResult {
 	if fb.sharded != nil {
 		root, err = fb.sharded.Commit(workers)
 	} else {
-		root, err = fb.plain.CommitLazy()
+		root, err = fb.plain.Commit()
 	}
 	if err != nil {
 		return CommitResult{Err: fmt.Errorf("account commit: %w", err)}

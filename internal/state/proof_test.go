@@ -14,7 +14,7 @@ import (
 // proofWorld commits the same few blocks to a reference DB and a flat
 // backend and returns both (same roots, different node-store provenance:
 // the DB's nodes come from incremental resident-trie commits, the flat
-// backend's from lazy sharded commit).
+// backend's from per-shard commits).
 func proofWorld(t *testing.T) (*DB, *FlatBackend, []types.Address) {
 	t.Helper()
 	db := NewDB()

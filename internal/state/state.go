@@ -109,7 +109,7 @@ type DB struct {
 	storage  map[types.Address]map[types.Hash]u256.Int
 	codes    map[types.Hash][]byte
 
-	store        *trie.MemStore
+	store        trie.Store
 	accountTrie  *trie.Trie
 	storageTries map[types.Address]*trie.Trie
 
@@ -121,7 +121,11 @@ var _ Backend = (*DB)(nil)
 
 // NewDB returns an empty state database at the empty root.
 func NewDB() *DB {
-	store := trie.NewMemStore()
+	return newDB(trie.NewMemStore())
+}
+
+// newDB returns an empty state database over the given node store.
+func newDB(store trie.Store) *DB {
 	at, err := trie.New(trie.EmptyRoot, store)
 	if err != nil {
 		// New on an empty root cannot fail; treat as programmer error.

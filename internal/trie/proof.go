@@ -51,11 +51,10 @@ func (t *Trie) Prove(key []byte) (Proof, error) {
 			return proof, nil
 		}
 		if !appended {
-			it, err := t.encodeNode(n, false)
+			enc, err := t.encodeNode(n)
 			if err != nil {
 				return nil, err
 			}
-			enc := rlp.Encode(it)
 			if isRoot || len(enc) >= 32 {
 				proof = append(proof, enc)
 			}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"dmvcc/internal/keccak"
-	"dmvcc/internal/rlp"
 	"dmvcc/internal/types"
 )
 
@@ -106,47 +104,6 @@ func (t *Trie) deletePath(path []byte) error {
 	return nil
 }
 
-// reduce persists the shard's dirty subtree and collapses its root to a
-// hashNode reference when the encoding is hash-sized, so the next commit
-// only resolves (and re-hashes) the paths the next block dirties. Subtrees
-// encoding under 32 bytes stay resident — they are embedded in their parent
-// and have no standalone store entry to point at.
-func (t *Trie) reduce() error {
-	if t.root == nil {
-		return nil
-	}
-	if _, ok := t.root.(hashNode); ok {
-		return nil
-	}
-	it, err := t.encodeNode(t.root, true)
-	if err != nil {
-		return err
-	}
-	enc := rlp.Encode(it)
-	if len(enc) >= 32 {
-		h := keccak.Sum256(enc)
-		t.store.PutNode(h, enc)
-		t.root = hashNode(h)
-	}
-	return nil
-}
-
-// CommitLazy persists the trie and returns its root hash, then collapses the
-// resident tree to a hash reference so the next commit resolves — and
-// re-hashes — only the paths it actually dirties. This is the single-shard
-// analogue of ShardedTrie.Commit's per-shard reduce: a long-lived trie
-// committed with CommitLazy does incremental work per block instead of
-// re-encoding its whole resident tree.
-func (t *Trie) CommitLazy() (types.Hash, error) {
-	if err := t.reduce(); err != nil {
-		return types.Hash{}, err
-	}
-	// After reduce the root is a hash reference (or a tiny resident node),
-	// so Commit either returns the hash directly or re-encodes only the
-	// sub-32-byte remnant.
-	return t.Commit()
-}
-
 // Put inserts or updates key -> value in the owning shard. Empty values
 // delete the key.
 func (s *ShardedTrie) Put(key, value []byte) error {
@@ -182,8 +139,8 @@ func (s *ShardedTrie) Get(key []byte) ([]byte, error) {
 // and store contents are byte-identical for any worker count, and identical
 // to an unsharded Trie holding the same keys.
 func (s *ShardedTrie) Commit(workers int) (types.Hash, error) {
-	// Phase 1: reduce dirty shards (persist nodes, collapse to hash refs).
-	// Shards only touch their own nodes plus the concurrency-safe store.
+	// Phase 1: commit dirty shards (persist their dirty paths). Shards only
+	// touch their own nodes plus the concurrency-safe store.
 	var dirtyIdx []int
 	for i := range s.shards {
 		if s.dirty[i] {
@@ -193,7 +150,7 @@ func (s *ShardedTrie) Commit(workers int) (types.Hash, error) {
 	}
 	if workers <= 1 || len(dirtyIdx) < 2 {
 		for _, i := range dirtyIdx {
-			if err := s.shards[i].reduce(); err != nil {
+			if _, err := s.shards[i].Commit(); err != nil {
 				return types.Hash{}, err
 			}
 		}
@@ -213,7 +170,7 @@ func (s *ShardedTrie) Commit(workers int) (types.Hash, error) {
 			go func() {
 				defer wg.Done()
 				for pos := range next {
-					errs[pos] = s.shards[dirtyIdx[pos]].reduce()
+					_, errs[pos] = s.shards[dirtyIdx[pos]].Commit()
 				}
 			}()
 		}
@@ -266,12 +223,6 @@ func (s *ShardedTrie) assembleRoot() (types.Hash, error) {
 		}
 		root = b
 	}
-	it, err := scratch.encodeNode(root, true)
-	if err != nil {
-		return types.Hash{}, err
-	}
-	enc := rlp.Encode(it)
-	h := keccak.Sum256(enc)
-	s.store.PutNode(h, enc)
-	return h, nil
+	scratch.root = root
+	return scratch.Commit()
 }

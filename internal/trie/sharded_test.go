@@ -128,8 +128,8 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 }
 
 // TestShardedIncrementalResolve commits, mutates a few keys, and commits
-// again: the second commit must resolve collapsed shard roots from the store
-// and still match the plain trie (the lazy/dirty-path property).
+// again: the second commit must resolve collapsed leaves from the store
+// and still match the plain trie (the incremental dirty-path property).
 func TestShardedIncrementalResolve(t *testing.T) {
 	plain, _ := New(EmptyRoot, NewMemStore())
 	sharded := NewSharded(NewMemStore())

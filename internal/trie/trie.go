@@ -30,22 +30,59 @@ var ErrNotFound = errors.New("trie: key not found")
 type node interface{}
 
 type leafNode struct {
-	key []byte // remaining nibble path
-	val []byte
+	key  []byte // remaining nibble path
+	val  []byte
+	hash types.Hash // see branchNode.hash
 }
 
 type extNode struct {
 	key   []byte // shared nibble path
 	child node
+	hash  types.Hash // see branchNode.hash
 }
 
 type branchNode struct {
 	children [16]node
 	val      []byte // value terminating exactly at this branch
+	// hash is the hash this node was last committed (or resolved) under,
+	// zero while the node is dirty. It is only ever set on a node whose
+	// encoding is at least 32 bytes — a hash-referenced node — and only once
+	// that encoding and everything reachable from it are in the store, so a
+	// clean subtree's reference is its cached hash with no re-encoding.
+	// Copy-on-write insert and del build every node they change afresh (or
+	// clear the field on a copy), so a dirty path never carries a stale hash.
+	hash types.Hash
 }
 
 // hashNode references a collapsed node stored in the Store by hash.
 type hashNode types.Hash
+
+// cachedHash returns the hash n was last committed or resolved under, or
+// false when n is dirty or is embedded in its parent.
+func cachedHash(n node) (types.Hash, bool) {
+	var h types.Hash
+	switch n := n.(type) {
+	case *leafNode:
+		h = n.hash
+	case *extNode:
+		h = n.hash
+	case *branchNode:
+		h = n.hash
+	}
+	return h, !h.IsZero()
+}
+
+// setHash records h as the committed hash of a resident node.
+func setHash(n node, h types.Hash) {
+	switch n := n.(type) {
+	case *leafNode:
+		n.hash = h
+	case *extNode:
+		n.hash = h
+	case *branchNode:
+		n.hash = h
+	}
+}
 
 // Store persists encoded trie nodes by hash. Implementations must be safe
 // for concurrent use: the state database commits independent storage tries
@@ -56,46 +93,85 @@ type hashNode types.Hash
 type Store interface {
 	// GetNode returns the encoded node for h, or an error if missing.
 	GetNode(h types.Hash) ([]byte, error)
-	// PutNode stores the encoded node under h.
+	// PutNode stores the encoded node under h. The caller may reuse enc
+	// once PutNode returns, so an implementation copies what it keeps.
 	PutNode(h types.Hash, enc []byte)
 }
 
-// MemStore is an in-memory node store, safe for concurrent use.
+// slabSize is the size of one MemStore arena slab.
+const slabSize = 1 << 20
+
+// span locates one stored encoding inside the MemStore arena.
+type span struct {
+	slab, off, n uint32
+}
+
+// MemStore is an in-memory node store, safe for concurrent use. Encodings
+// are copied into append-only 1 MiB byte slabs and indexed by a pointer-free
+// map, so a store of millions of nodes is a few large noscan allocations for
+// the garbage collector rather than one object per node. Nodes are
+// content-addressed, so a repeated PutNode for a stored hash is a no-op.
 type MemStore struct {
 	mu    sync.RWMutex
-	nodes map[types.Hash][]byte
+	index map[types.Hash]span
+	slabs [][]byte
+	cur   int // slab receiving small encodings; -1 before the first put
 }
 
 var _ Store = (*MemStore)(nil)
 
 // NewMemStore returns an empty in-memory node store.
 func NewMemStore() *MemStore {
-	return &MemStore{nodes: make(map[types.Hash][]byte)}
+	return &MemStore{index: make(map[types.Hash]span), cur: -1}
 }
 
-// GetNode implements Store.
+// GetNode implements Store. The returned slice aliases the arena and must
+// not be written; its capacity is clipped, so appending to it copies rather
+// than clobbering the next encoding in the slab.
 func (s *MemStore) GetNode(h types.Hash) ([]byte, error) {
 	s.mu.RLock()
-	enc, ok := s.nodes[h]
+	sp, ok := s.index[h]
+	var slab []byte
+	if ok {
+		slab = s.slabs[sp.slab]
+	}
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("trie: missing node %s", h)
 	}
-	return enc, nil
+	end := sp.off + sp.n
+	return slab[sp.off:end:end], nil
 }
 
-// PutNode implements Store.
+// PutNode implements Store. It copies enc into the arena.
 func (s *MemStore) PutNode(h types.Hash, enc []byte) {
 	s.mu.Lock()
-	s.nodes[h] = enc
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if _, ok := s.index[h]; ok {
+		return
+	}
+	if len(enc) > slabSize {
+		// Oversized encodings get a slab of their own; small puts keep
+		// filling the current slab.
+		s.slabs = append(s.slabs, append([]byte(nil), enc...))
+		s.index[h] = span{slab: uint32(len(s.slabs) - 1), n: uint32(len(enc))}
+		return
+	}
+	if s.cur < 0 || len(s.slabs[s.cur])+len(enc) > slabSize {
+		s.slabs = append(s.slabs, make([]byte, 0, slabSize))
+		s.cur = len(s.slabs) - 1
+	}
+	slab := s.slabs[s.cur]
+	off := len(slab)
+	s.slabs[s.cur] = append(slab, enc...)
+	s.index[h] = span{slab: uint32(s.cur), off: uint32(off), n: uint32(len(enc))}
 }
 
 // Len returns the number of stored nodes.
 func (s *MemStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.nodes)
+	return len(s.index)
 }
 
 // Trie is a mutable Merkle Patricia Trie over a node store.
@@ -125,27 +201,24 @@ func keyNibbles(key []byte) []byte {
 	return nib
 }
 
-// hexPrefix encodes a nibble path with the leaf/extension flag per the
-// Ethereum hex-prefix specification.
-func hexPrefix(nibbles []byte, leaf bool) []byte {
+// appendHexPrefix appends the encoding of a nibble path with the
+// leaf/extension flag, per the Ethereum hex-prefix specification, to dst.
+func appendHexPrefix(dst, nibbles []byte, leaf bool) []byte {
 	flag := byte(0)
 	if leaf {
 		flag = 2
 	}
+	i := 0
 	if len(nibbles)%2 == 1 {
-		out := make([]byte, (len(nibbles)+1)/2)
-		out[0] = (flag+1)<<4 | nibbles[0]
-		for i := 1; i < len(nibbles); i += 2 {
-			out[(i+1)/2] = nibbles[i]<<4 | nibbles[i+1]
-		}
-		return out
+		dst = append(dst, (flag+1)<<4|nibbles[0])
+		i = 1
+	} else {
+		dst = append(dst, flag<<4)
 	}
-	out := make([]byte, len(nibbles)/2+1)
-	out[0] = flag << 4
-	for i := 0; i < len(nibbles); i += 2 {
-		out[i/2+1] = nibbles[i]<<4 | nibbles[i+1]
+	for ; i < len(nibbles); i += 2 {
+		dst = append(dst, nibbles[i]<<4|nibbles[i+1])
 	}
-	return out
+	return dst
 }
 
 // parseHexPrefix decodes a hex-prefix path into nibbles and the leaf flag.
@@ -156,6 +229,7 @@ func parseHexPrefix(b []byte) (nibbles []byte, leaf bool, err error) {
 	flag := b[0] >> 4
 	leaf = flag >= 2
 	odd := flag&1 == 1
+	nibbles = make([]byte, 0, 2*len(b)-1)
 	if odd {
 		nibbles = append(nibbles, b[0]&0x0f)
 	}
@@ -271,6 +345,7 @@ func (t *Trie) insert(n node, path []byte, value []byte) (node, error) {
 		return branch, nil
 	case *branchNode:
 		nb := *n
+		nb.hash = types.Hash{}
 		if len(path) == 0 {
 			nb.val = value
 			return &nb, nil
@@ -337,6 +412,7 @@ func (t *Trie) del(n node, path []byte) (node, bool, error) {
 		return t.collapseExt(n.key, child)
 	case *branchNode:
 		nb := *n
+		nb.hash = types.Hash{}
 		if len(path) == 0 {
 			if nb.val == nil {
 				return n, false, nil
@@ -412,7 +488,9 @@ func concatNibbles(a, b []byte) []byte {
 	return append(out, b...)
 }
 
-// resolve loads and decodes a hash-referenced node from the store.
+// resolve loads and decodes a hash-referenced node from the store. The
+// decoded node is clean: it carries h as its cached hash (unless it is a
+// sub-32-byte root, which a parent would embed rather than reference).
 func (t *Trie) resolve(h hashNode) (node, error) {
 	enc, err := t.store.GetNode(types.Hash(h))
 	if err != nil {
@@ -422,7 +500,14 @@ func (t *Trie) resolve(h hashNode) (node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decode node %s: %w", types.Hash(h), err)
 	}
-	return decodeNode(it)
+	n, err := decodeNode(it)
+	if err != nil {
+		return nil, err
+	}
+	if len(enc) >= 32 {
+		setHash(n, types.Hash(h))
+	}
+	return n, nil
 }
 
 func decodeNode(it rlp.Item) (node, error) {
@@ -476,68 +561,166 @@ func decodeRef(it rlp.Item) (node, error) {
 	}
 }
 
-// encodeNode returns the RLP structure of n, committing collapsed children
-// to the store when persist is true.
-func (t *Trie) encodeNode(n node, persist bool) (rlp.Item, error) {
+// ref is a node's reference form inside its parent's encoding: the node's
+// own encoding when that is shorter than 32 bytes (embedded), else its hash.
+type ref struct {
+	emb  []byte
+	hash types.Hash
+}
+
+func (r *ref) size() int {
+	if r.emb != nil {
+		return len(r.emb)
+	}
+	return 1 + len(r.hash)
+}
+
+func (r *ref) appendTo(dst []byte) []byte {
+	if r.emb != nil {
+		return append(dst, r.emb...)
+	}
+	return append(append(dst, 0x80+byte(len(r.hash))), r.hash[:]...)
+}
+
+// encoder is one hashing pass over a trie's resident nodes. With persist it
+// commits: every dirty node it reaches is written to the store and the
+// collapsed forms are swapped into the parents' child slots (see commitRef).
+// Without persist nothing is written or mutated.
+type encoder struct {
+	t       *Trie
+	persist bool
+	// scratch holds hash-referenced encodings. Each is hashed and handed to
+	// the store (which copies what it keeps) before the next node is
+	// encoded, so one buffer serves the whole pass.
+	scratch []byte
+}
+
+// encodeNode returns the RLP encoding of n in a buffer the caller owns,
+// writing and mutating nothing.
+func (t *Trie) encodeNode(n node) ([]byte, error) {
+	e := encoder{t: t}
+	return e.encode(n)
+}
+
+// alloc returns a buffer holding the header of a list with the given
+// payload size, with room for the payload. Encodings of 32 bytes or more go
+// to the scratch buffer and live until the next alloc; shorter ones are
+// embedded in a parent and get a buffer of their own.
+func (e *encoder) alloc(payload int) []byte {
+	size := rlp.ListSize(payload)
+	var dst []byte
+	if size >= 32 {
+		if cap(e.scratch) < size {
+			e.scratch = make([]byte, 0, size)
+		}
+		dst = e.scratch[:0]
+	} else {
+		dst = make([]byte, 0, size)
+	}
+	return rlp.AppendListHeader(dst, payload)
+}
+
+// encode returns the RLP encoding of n; see alloc for its lifetime.
+func (e *encoder) encode(n node) ([]byte, error) {
+	var hp [40]byte // hex-prefix path of a 32-byte key, on the stack
 	switch n := n.(type) {
 	case *leafNode:
-		return rlp.List(rlp.String(hexPrefix(n.key, true)), rlp.String(n.val)), nil
+		path := appendHexPrefix(hp[:0], n.key, true)
+		dst := e.alloc(rlp.StringSize(path) + rlp.StringSize(n.val))
+		dst = rlp.AppendString(dst, path)
+		return rlp.AppendString(dst, n.val), nil
 	case *extNode:
-		childRef, err := t.nodeRef(n.child, persist)
+		child, r, err := e.commitRef(n.child)
 		if err != nil {
-			return rlp.Item{}, err
+			return nil, err
 		}
-		return rlp.List(rlp.String(hexPrefix(n.key, false)), childRef), nil
+		if e.persist {
+			n.child = child
+		}
+		path := appendHexPrefix(hp[:0], n.key, false)
+		dst := e.alloc(rlp.StringSize(path) + r.size())
+		dst = rlp.AppendString(dst, path)
+		return r.appendTo(dst), nil
 	case *branchNode:
-		items := make([]rlp.Item, 17)
+		var refs [16]ref
+		payload := rlp.StringSize(n.val)
 		for i, c := range n.children {
 			if c == nil {
-				items[i] = rlp.String(nil)
+				payload++ // the empty string
 				continue
 			}
-			ref, err := t.nodeRef(c, persist)
+			child, r, err := e.commitRef(c)
 			if err != nil {
-				return rlp.Item{}, err
+				return nil, err
 			}
-			items[i] = ref
+			if e.persist {
+				n.children[i] = child
+			}
+			refs[i] = r
+			payload += r.size()
 		}
-		items[16] = rlp.String(n.val)
-		return rlp.List(items...), nil
-	case hashNode:
-		return rlp.String(n[:]), nil
+		dst := e.alloc(payload)
+		for i, c := range n.children {
+			if c == nil {
+				dst = append(dst, 0x80)
+				continue
+			}
+			dst = refs[i].appendTo(dst)
+		}
+		return rlp.AppendString(dst, n.val), nil
 	default:
-		return rlp.Item{}, fmt.Errorf("trie: cannot encode node type %T", n)
+		return nil, fmt.Errorf("trie: cannot encode node type %T", n)
 	}
 }
 
-// nodeRef returns the reference form of n for inclusion in a parent:
-// the node itself if its encoding is shorter than 32 bytes, else its hash.
-func (t *Trie) nodeRef(n node, persist bool) (rlp.Item, error) {
+// commitRef returns the reference form of n for inclusion in a parent and
+// the node the parent should hold from now on. A clean node answers from its
+// cached hash without re-encoding. With persist a dirty hash-referenced node
+// is written to the store; a leaf then collapses to its hashNode (the next
+// update resolves just that leaf), while branches and extensions stay
+// resident with the hash cached, so the next commit re-encodes only the
+// paths that changed. Without persist n is returned unchanged.
+func (e *encoder) commitRef(n node) (node, ref, error) {
 	if h, ok := n.(hashNode); ok {
-		return rlp.String(h[:]), nil
+		return n, ref{hash: types.Hash(h)}, nil
 	}
-	it, err := t.encodeNode(n, persist)
+	if h, ok := cachedHash(n); ok {
+		if _, leaf := n.(*leafNode); leaf && e.persist {
+			return hashNode(h), ref{hash: h}, nil
+		}
+		return n, ref{hash: h}, nil
+	}
+	enc, err := e.encode(n)
 	if err != nil {
-		return rlp.Item{}, err
+		return nil, ref{}, err
 	}
-	enc := rlp.Encode(it)
 	if len(enc) < 32 {
-		return it, nil
+		return n, ref{emb: enc}, nil
 	}
-	h := keccak.Sum256(enc)
-	if persist {
-		t.store.PutNode(h, enc)
+	h := types.Hash(keccak.Sum256(enc))
+	if !e.persist {
+		return n, ref{hash: h}, nil
 	}
-	return rlp.String(h[:]), nil
+	e.t.store.PutNode(h, enc)
+	if _, leaf := n.(*leafNode); leaf {
+		return hashNode(h), ref{hash: h}, nil
+	}
+	setHash(n, h)
+	return n, ref{hash: h}, nil
 }
 
-// Hash returns the current root hash without persisting nodes.
+// Hash returns the current root hash without persisting or caching anything:
+// a later Commit still writes every dirty node.
 func (t *Trie) Hash() (types.Hash, error) {
 	return t.rootHash(false)
 }
 
-// Commit persists all dirty nodes to the store and returns the root hash.
-// After Commit the trie keeps working over the in-memory nodes.
+// Commit persists every dirty node to the store and returns the root hash.
+// The work is proportional to the paths changed since the last commit: clean
+// subtrees answer from their cached hashes. Afterwards the branch and
+// extension skeleton stays resident (hashes cached) and committed leaves are
+// held as hash references, so resident memory is about a sixteenth of the
+// key count and the next update resolves only the leaf it replaces.
 func (t *Trie) Commit() (types.Hash, error) {
 	return t.rootHash(true)
 }
@@ -549,14 +732,20 @@ func (t *Trie) rootHash(persist bool) (types.Hash, error) {
 	if h, ok := t.root.(hashNode); ok {
 		return types.Hash(h), nil
 	}
-	it, err := t.encodeNode(t.root, persist)
+	if h, ok := cachedHash(t.root); ok {
+		return h, nil
+	}
+	e := encoder{t: t, persist: persist}
+	enc, err := e.encode(t.root)
 	if err != nil {
 		return types.Hash{}, err
 	}
-	enc := rlp.Encode(it)
-	h := keccak.Sum256(enc)
+	h := types.Hash(keccak.Sum256(enc))
 	if persist {
 		t.store.PutNode(h, enc)
+		if len(enc) >= 32 {
+			setHash(t.root, h)
+		}
 	}
 	return h, nil
 }

@@ -318,7 +318,7 @@ func TestHexPrefixRoundTrip(t *testing.T) {
 			nibbles[j] = byte(r.Intn(16))
 		}
 		for _, leaf := range []bool{true, false} {
-			enc := hexPrefix(nibbles, leaf)
+			enc := appendHexPrefix(nil, nibbles, leaf)
 			back, gotLeaf, err := parseHexPrefix(enc)
 			if err != nil {
 				t.Fatal(err)
